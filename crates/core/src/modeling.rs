@@ -661,17 +661,26 @@ mod tests {
         s.step(&ac, &OptimizationConfig::default(), 1);
     }
 
-    /// All four lossless (transparent-boundary) media of size n — the
-    /// configuration under which `step_reverse` must undo `step`.
-    fn transparent_media(n: usize) -> Vec<Medium2> {
+    /// All four media of size n, either with 12-cell absorbing boundaries
+    /// or lossless (transparent) — the configuration under which
+    /// `step_reverse` must undo `step`.
+    fn four_media(n: usize, absorbing: bool) -> Vec<Medium2> {
         let e = extent2(n, n);
         let h = 10.0;
-        let tr_damp = || DampProfile::transparent(n, e.halo);
-        let tr_cpml = || {
-            [
-                CpmlAxis::transparent(n, e.halo),
-                CpmlAxis::transparent(n, e.halo),
-            ]
+        let damp = |v_max| {
+            if absorbing {
+                DampProfile::new(n, e.halo, 12, v_max, h, 1e-4)
+            } else {
+                DampProfile::transparent(n, e.halo)
+            }
+        };
+        let cpml = |v_max, dt| {
+            let c = if absorbing {
+                CpmlAxis::new(n, e.halo, 12, dt, v_max, h, 1e-4)
+            } else {
+                CpmlAxis::transparent(n, e.halo)
+            };
+            [c.clone(), c]
         };
         let iso = Medium2::Iso {
             model: iso2_constant(
@@ -679,25 +688,23 @@ mod tests {
                 2000.0,
                 Geometry::uniform(h, stable_dt(8, 2, 2000.0, h, 0.8)),
             ),
-            damp_x: tr_damp(),
-            damp_z: tr_damp(),
+            damp_x: damp(2000.0),
+            damp_z: damp(2000.0),
         };
+        let dt = stable_dt(8, 2, 3200.0, h, 0.6);
         let ac = Medium2::Acoustic {
-            model: acoustic2_layered(
-                e,
-                &standard_layers(n),
-                Geometry::uniform(h, stable_dt(8, 2, 3200.0, h, 0.6)),
-            ),
-            cpml: tr_cpml(),
+            model: acoustic2_layered(e, &standard_layers(n), Geometry::uniform(h, dt)),
+            cpml: cpml(3200.0, dt),
         };
+        let dt = stable_dt(8, 2, 3000.0, h, 0.5);
         let el = Medium2::Elastic {
             model: seismic_model::ElasticModel2::from_velocities(
                 &Field2::filled(e, 3000.0),
                 &Field2::filled(e, 1700.0),
                 &Field2::filled(e, 2200.0),
-                Geometry::uniform(h, stable_dt(8, 2, 3000.0, h, 0.5)),
+                Geometry::uniform(h, dt),
             ),
-            cpml: tr_cpml(),
+            cpml: cpml(3000.0, dt),
         };
         let v_max = 2500.0 * (1.0f32 + 2.0 * 0.2).sqrt();
         let vti = Medium2::Vti {
@@ -708,10 +715,68 @@ mod tests {
                 0.1,
                 Geometry::uniform(h, stable_dt(8, 2, v_max, h, 0.5)),
             ),
-            damp_x: tr_damp(),
-            damp_z: tr_damp(),
+            damp_x: damp(v_max),
+            damp_z: damp(v_max),
         };
         vec![iso, ac, el, vti]
+    }
+
+    /// Every field of a state, the C-PML memory variables included.
+    fn state_fields(s: &State2) -> Vec<&Field2> {
+        match s {
+            State2::Iso(s) => vec![&s.u_prev, &s.u_cur],
+            State2::Acoustic(s) => vec![
+                &s.p, &s.qx, &s.qz, &s.psi_px, &s.psi_pz, &s.psi_qx, &s.psi_qz,
+            ],
+            State2::Elastic(s) => vec![
+                &s.vx,
+                &s.vz,
+                &s.sxx,
+                &s.szz,
+                &s.sxz,
+                &s.psi_sxx_x,
+                &s.psi_sxz_z,
+                &s.psi_sxz_x,
+                &s.psi_szz_z,
+                &s.psi_vx_x,
+                &s.psi_vz_z,
+                &s.psi_vx_z,
+                &s.psi_vz_x,
+            ],
+            State2::Vti(s) => vec![&s.p_prev, &s.p_cur, &s.q_prev, &s.q_cur],
+        }
+    }
+
+    /// A Ricker wavefront's leading edge decays through the subnormal range
+    /// on its way to zero. The amplitude floor of every propagator store
+    /// must keep that shell out of every state field, ψ memory included.
+    #[test]
+    fn wavefront_tails_leave_no_subnormals() {
+        let n = 64;
+        let cfg = OptimizationConfig::default();
+        let w = Wavelet::ricker(20.0);
+        for (name, medium) in ["iso", "acoustic", "elastic", "vti"]
+            .into_iter()
+            .zip(four_media(n, true))
+        {
+            let dt = medium.dt();
+            let mut s = State2::new(&medium);
+            // Short enough that the stencil's leading edge is still inside
+            // the grid, decaying through the subnormal range.
+            for t in 0..20 {
+                s.step(&medium, &cfg, 2);
+                s.inject(&medium, n / 2, n / 2, w.sample(t as f32 * dt));
+                for (i, f) in state_fields(&s).iter().enumerate() {
+                    assert_eq!(f.subnormal_count(), 0, "{name}: field {i} at step {t}");
+                }
+            }
+            // The tail must reach down to the floor, or the check is vacuous.
+            let tail = state_fields(&s)
+                .iter()
+                .flat_map(|f| f.as_slice())
+                .any(|v| *v != 0.0 && v.abs() < 1e-25);
+            assert!(tail, "{name}: no wavefront tail near the floor");
+        }
     }
 
     /// The random-boundary contract: through a lossless medium,
@@ -726,7 +791,7 @@ mod tests {
         let cfg = OptimizationConfig::default();
         let w = Wavelet::ricker(20.0);
         let steps = 60;
-        for medium in transparent_media(n) {
+        for medium in four_media(n, false) {
             let dt = medium.dt();
             let mut s = State2::new(&medium);
             let mut stored = Vec::new();

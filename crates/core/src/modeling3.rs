@@ -845,4 +845,60 @@ mod tests {
             }
         }
     }
+
+    /// Every field of a state, the C-PML memory variables included.
+    fn state_fields(s: &State3) -> Vec<&Field3> {
+        match s {
+            State3::Iso(s) => vec![&s.u_prev, &s.u_cur],
+            State3::Acoustic(s) => vec![
+                &s.p, &s.qx, &s.qy, &s.qz, &s.psi_px, &s.psi_py, &s.psi_pz, &s.psi_qx, &s.psi_qy,
+                &s.psi_qz,
+            ],
+            State3::Elastic(s) => {
+                let mut f = vec![
+                    &s.vx, &s.vy, &s.vz, &s.sxx, &s.syy, &s.szz, &s.sxy, &s.sxz, &s.syz,
+                ];
+                f.extend(&s.psi);
+                f
+            }
+        }
+    }
+
+    /// The 3D counterpart of the 2D subnormal-shell test: no state field,
+    /// ψ memory included, may store a subnormal while the stencil's leading
+    /// edge decays through that range, under both acoustic fission forms.
+    #[test]
+    fn wavefront_tails_leave_no_subnormals_3d() {
+        let n = 32;
+        let w = Wavelet::ricker(25.0);
+        for (name, medium) in media(n) {
+            for fission in [
+                seismic_prop::FissionVariant::Fused,
+                seismic_prop::FissionVariant::Fissioned,
+            ] {
+                let cfg = OptimizationConfig {
+                    fission,
+                    ..OptimizationConfig::default()
+                };
+                let dt = medium.dt();
+                let mut s = State3::new(&medium);
+                for t in 0..12 {
+                    s.step(&medium, &cfg, 2);
+                    s.inject(&medium, n / 2, n / 2, n / 2, w.sample(t as f32 * dt));
+                    for (i, f) in state_fields(&s).iter().enumerate() {
+                        assert_eq!(
+                            f.subnormal_count(),
+                            0,
+                            "{name}/{fission:?}: field {i} at step {t}"
+                        );
+                    }
+                }
+                let tail = state_fields(&s)
+                    .iter()
+                    .flat_map(|f| f.as_slice())
+                    .any(|v| *v != 0.0 && v.abs() < 1e-25);
+                assert!(tail, "{name}/{fission:?}: no wavefront tail near the floor");
+            }
+        }
+    }
 }

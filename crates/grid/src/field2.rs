@@ -107,6 +107,12 @@ impl Field2 {
         m
     }
 
+    /// Number of subnormal values, halo included (numerics health: each
+    /// costs a microcode assist per x86 arithmetic operation that reads it).
+    pub fn subnormal_count(&self) -> usize {
+        self.data.iter().filter(|v| v.is_subnormal()).count()
+    }
+
     /// Sum of squared interior values (discrete energy diagnostics).
     pub fn energy(&self) -> f64 {
         let mut s = 0.0f64;
@@ -284,5 +290,15 @@ mod tests {
         f.set(2, 2, 4.0);
         assert_eq!(f.max_abs(), 4.0);
         assert_eq!(f.energy(), 25.0);
+    }
+
+    #[test]
+    fn subnormal_count_covers_interior_and_halo() {
+        let mut f = Field2::zeros(ext());
+        f.set(1, 1, f32::MIN_POSITIVE / 2.0);
+        f.set(2, 2, -f32::from_bits(1));
+        f.set(3, 3, f32::MIN_POSITIVE); // smallest normal
+        f.as_mut_slice()[0] = 1e-40; // halo corner
+        assert_eq!(f.subnormal_count(), 3);
     }
 }

@@ -117,6 +117,12 @@ impl Field3 {
         m
     }
 
+    /// Number of subnormal values, halo included (numerics health: each
+    /// costs a microcode assist per x86 arithmetic operation that reads it).
+    pub fn subnormal_count(&self) -> usize {
+        self.data.iter().filter(|v| v.is_subnormal()).count()
+    }
+
     /// Sum of squared interior values.
     pub fn energy(&self) -> f64 {
         let mut s = 0.0f64;
@@ -199,5 +205,14 @@ mod tests {
         assert_eq!(p.get(3, 1), 321.0);
         assert_eq!(p.extent().nx, ext().nx);
         assert_eq!(p.extent().nz, ext().nz);
+    }
+
+    #[test]
+    fn subnormal_count_covers_interior_and_halo() {
+        let mut f = Field3::zeros(ext());
+        f.set(1, 1, 1, 1e-40);
+        f.set(2, 2, 2, f32::MIN_POSITIVE); // smallest normal
+        f.as_mut_slice()[0] = -1e-42; // halo corner
+        assert_eq!(f.subnormal_count(), 2);
     }
 }

@@ -40,7 +40,7 @@ pub use extent::{Extent2, Extent3};
 pub use fd::UnsupportedOrder;
 pub use field2::Field2;
 pub use field3::Field3;
-pub use sync_slice::SyncSlice;
+pub use sync_slice::{SyncSlice, AMPLITUDE_FLOOR};
 
 /// Half-width of the spatial stencil used throughout the workspace.
 ///
