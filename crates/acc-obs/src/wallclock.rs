@@ -8,7 +8,7 @@
 //!
 //! Every other track in the tracer carries *simulated* seconds from the
 //! accel-sim scheduler; wall-clock tracks carry *real elapsed* seconds
-//! since the profiler epoch. Both render in one Perfetto document — the
+//! since the capture started. Both render in one Perfetto document — the
 //! track label prefix (`wall worker N`) and a `clock=wall` arg on every
 //! span mark the domain, so a reader never mistakes modeled time for
 //! measured time. The timestamps are deliberately **not** aligned or
@@ -29,7 +29,7 @@ const NS: f64 = 1e-9;
 /// Per-worker-slot wall-clock statistics derived from one profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStat {
-    /// Thread slot in the profiler's registry.
+    /// Thread slot in the capture (0 = launcher, `i + 1` = pool worker `i`).
     pub slot: u32,
     /// Slabs executed.
     pub slabs: u64,
@@ -47,7 +47,7 @@ pub struct WorkerStat {
     pub tiles_per_s: f64,
 }
 
-/// Gang-level roll-up of one drained host profile.
+/// Gang-level roll-up of one captured host profile.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostReport {
     /// Wall-clock extent of the profile (first event start → last end), s.
@@ -75,7 +75,7 @@ pub struct HostReport {
     pub tiles: u64,
     /// Events lost to full rings.
     pub dropped: u64,
-    /// Events lost to thread-slot exhaustion.
+    /// Events lost because their worker index had no slot.
     pub thread_overflow: u64,
 }
 
@@ -120,7 +120,7 @@ impl HostReport {
     }
 }
 
-/// Derive the gang-level report from a drained profile.
+/// Derive the gang-level report from a captured profile.
 pub fn report(profile: &HostProfile) -> HostReport {
     let (lo_ns, hi_ns) = profile.time_bounds_ns();
     let wall_s = (hi_ns - lo_ns) as f64 * NS;
@@ -224,7 +224,7 @@ fn span_for(slot: u32, e: &Event) -> Option<Span> {
     )
 }
 
-/// Ingest a drained profile into a session: spans onto `wall worker N`
+/// Ingest a captured profile into a session: spans onto `wall worker N`
 /// tracks (tagged `clock=wall`), per-event-kind duration histograms
 /// (`host_slab_s`, `host_sweep_s`, `host_barrier_wait_s`, `host_wake_s`),
 /// counters (`host_sweeps`, `host_slabs`, `host_tiles`,
@@ -276,7 +276,7 @@ pub fn ingest(profile: &HostProfile, session: &ObsSession) -> HostReport {
     rep
 }
 
-/// Serialize one drained profile as the standalone `host_profile.json`
+/// Serialize one captured profile as the standalone `host_profile.json`
 /// document: the derived report plus the raw per-slot event streams.
 pub fn host_profile_json(profile: &HostProfile) -> String {
     let rep = report(profile);

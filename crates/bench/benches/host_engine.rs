@@ -1,11 +1,12 @@
 //! Host-execution-engine benchmarks: persistent-pool launch overhead vs
-//! per-launch `thread::scope`, cache-blocked stencil sweeps, and the full
-//! 3D isotropic step both ways. The wall-clock companion
+//! the sequential slab loop, cache-blocked stencil sweeps, and the full
+//! 3D isotropic step at 8 gangs and at 1. The wall-clock companion
 //! (`src/bin/bench_host.rs`) produces `BENCH_host.json`; these Criterion
 //! groups are for interactive before/after comparison of the same paths.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use openacc_sim::exec::{par_slabs, par_slabs_scoped, set_engine, Engine};
+use exec_host::slab_bounds;
+use openacc_sim::exec::par_slabs;
 use rtm_core::modeling3::{Medium3, State3};
 use rtm_core::OptimizationConfig;
 use seismic_grid::cfl::stable_dt;
@@ -14,8 +15,9 @@ use seismic_model::builder::{iso3_layered, standard_layers};
 use seismic_model::{extent2, extent3, Geometry};
 use seismic_pml::DampProfile;
 
-/// Pure launch overhead: an empty body over 8 gangs, pooled vs scoped.
-/// The gap here is exactly what every kernel of every timestep used to pay.
+/// Pure launch overhead: an empty body over 8 gangs, pooled vs the same
+/// slabs run one after another on the caller. The gap is what every
+/// kernel of every timestep pays for going parallel.
 fn launch_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("launch_overhead");
     let gangs = 8;
@@ -26,11 +28,11 @@ fn launch_overhead(c: &mut Criterion) {
             })
         });
     });
-    g.bench_function("scoped_8g", |b| {
+    g.bench_function("sequential_8g", |b| {
         b.iter(|| {
-            par_slabs_scoped(64, gangs, |z0, z1| {
-                std::hint::black_box((z0, z1));
-            })
+            for g in 0..gangs {
+                std::hint::black_box(slab_bounds(64, gangs, g));
+            }
         });
     });
     g.finish();
@@ -51,7 +53,7 @@ fn blocked_laplacian(c: &mut Criterion) {
     g.finish();
 }
 
-/// One full 3D isotropic timestep through the driver, pooled vs scoped.
+/// One full 3D isotropic timestep through the driver, 8 gangs vs 1.
 fn iso3d_step(c: &mut Criterion) {
     let mut g = c.benchmark_group("iso3d_step");
     let n = 32;
@@ -66,13 +68,11 @@ fn iso3d_step(c: &mut Criterion) {
     let cfg = OptimizationConfig::default();
     let mut state = State3::new(&medium);
     g.throughput(Throughput::Elements((n * n * n) as u64));
-    for (name, engine) in [("pooled", Engine::Pooled), ("scoped", Engine::Scoped)] {
-        set_engine(engine);
-        g.bench_function(format!("{name}_8g_n{n}"), |b| {
-            b.iter(|| state.step(&medium, &cfg, 8));
+    for gangs in [8, 1] {
+        g.bench_function(format!("pooled_{gangs}g_n{n}"), |b| {
+            b.iter(|| state.step(&medium, &cfg, gangs));
         });
     }
-    set_engine(Engine::Pooled);
     g.finish();
 }
 

@@ -22,16 +22,14 @@
 //! * [`tile`] — the cache-blocking tuner: picks an x-tile width for the
 //!   z-slab × x-tile loop schedule of the stencil sweeps from the stencil
 //!   footprint and a cache budget (à la the paper's loop-schedule
-//!   experiments), with an `ACC_TILE_X` env override.
-//! * [`simd`] — the registry of SIMD widths *certified* by the
-//!   vectorization verifier (`acc-verify::vectorize`): sweeps annotate
-//!   their tilings via [`tiles_for`] with the widest lane count whose
-//!   legality was proven, never assumed.
-//! * [`prof`] — the wall-clock host profiler: per-thread lock-free ring
-//!   buffers recording sweep/slab/barrier/wake/tile/phase events with
-//!   `Instant` timestamps, drained into `acc-obs` wall-clock tracks. Off
-//!   by default (one relaxed load per record site), compile-out via the
-//!   `measure` feature.
+//!   experiments).
+//! * [`prof`] — the wall-clock host profiler: a [`prof::Capture`] records
+//!   sweep/slab/barrier/wake/tile/phase events with `Instant` timestamps
+//!   for the thread that started it and the pool jobs that thread
+//!   launches, into buffers the capture owns, and returns them as a
+//!   [`HostProfile`] for the `acc-obs` wall-clock tracks. Threads without
+//!   a capture pay one thread-local load per record site; the `measure`
+//!   feature compiles recording out entirely.
 //!
 //! Everything here is `std`-only and dependency-free; `openacc-sim`
 //! re-exports this crate as its gang execution backend.
@@ -39,10 +37,9 @@
 pub mod arena;
 pub mod pool;
 pub mod prof;
-pub mod simd;
 pub mod tile;
 
 pub use arena::Arena;
 pub use pool::{slab_bounds, GangPool};
-pub use prof::{HostProfile, WorkerSummary};
-pub use tile::{tiles, tiles_for, TileEnvError, Tiling};
+pub use prof::{Capture, HostProfile, WorkerSummary};
+pub use tile::{tiles, Tiling};

@@ -60,14 +60,10 @@ use sys::{thread, AtomicUsize, Condvar, Mutex, Ordering, SPIN_LIMIT};
 #[cfg(not(loom))]
 use std::sync::OnceLock;
 
-// Wall-clock profiling hooks. Compiled out of loom model-check builds: the
-// profiler uses real `Instant`/`thread_local!` state that loom cannot
-// model, and the barrier protocol under test is unchanged by it (recording
-// never branches the schedule).
-#[cfg(not(loom))]
+// Wall-clock profiling hooks. They read only the calling thread's capture,
+// never branch the schedule, and are inert in the loom model (no thread
+// there starts a capture).
 use crate::prof;
-#[cfg(not(loom))]
-use std::sync::atomic::AtomicU64;
 
 type JoinHandle = thread::JoinHandle<()>;
 
@@ -88,7 +84,7 @@ pub fn slab_bounds(n: usize, gangs: usize, g: usize) -> (usize, usize) {
 type Body<'a> = &'a (dyn Fn(usize, usize, usize) + Sync);
 
 /// Type-erased job descriptor published to the workers for one launch.
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 struct JobDesc {
     /// Fat pointer to the launch body. Valid only between the epoch bump
     /// that publishes it and the in-flight drain that retires it; the
@@ -96,6 +92,9 @@ struct JobDesc {
     body: *const (dyn Fn(usize, usize, usize) + Sync),
     n: usize,
     gangs: usize,
+    /// The launcher's profiler capture, if it has one: workers record
+    /// into it while they run this job, and into nothing otherwise.
+    capture: Option<prof::Launch>,
 }
 
 /// State guarded by the control mutex.
@@ -124,12 +123,6 @@ struct Shared {
     /// Current job. Written by the caller before the epoch bump, read by
     /// workers under the control mutex only while `active`.
     job: UnsafeCell<Option<JobDesc>>,
-    /// Wall-clock stamp (ns since the profiler epoch) of the most recent
-    /// job publish; workers subtract it from their pickup time to measure
-    /// wake latency. Written before the epoch bump (the control mutex
-    /// orders it for readers); 0 = profiler off at publish time.
-    #[cfg(not(loom))]
-    publish_ns: AtomicU64,
 }
 
 // SAFETY: `job` is only written while no launch is active (enforced by the
@@ -168,14 +161,12 @@ impl GangPool {
             claim: AtomicUsize::new(0),
             done: AtomicUsize::new(0),
             job: UnsafeCell::new(None),
-            #[cfg(not(loom))]
-            publish_ns: AtomicU64::new(0),
         }));
         let workers = (0..workers)
             .map(|i| {
                 thread::Builder::new()
                     .name(format!("gang-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
+                    .spawn(move || worker_loop(shared, i))
                     .expect("spawn gang worker")
             })
             .collect();
@@ -266,16 +257,9 @@ impl GangPool {
                 body: erased,
                 n,
                 gangs,
+                capture: prof::Launch::current(),
             });
         }
-        // Stamp the publish time so workers can report wake latency. The
-        // control-mutex handoff below orders this store before any worker
-        // reads it for the new epoch; 0 marks "profiler was off".
-        #[cfg(not(loom))]
-        shared.publish_ns.store(
-            if prof::enabled() { prof::now_ns() } else { 0 },
-            std::sync::atomic::Ordering::Relaxed,
-        );
         {
             let mut ctl = shared.ctl.lock().expect("pool poisoned");
             ctl.epoch += 1;
@@ -289,16 +273,13 @@ impl GangPool {
                 break;
             }
             let (z0, z1) = slab_bounds(n, gangs, g);
-            #[cfg(not(loom))]
             let t_slab = prof::begin();
             body(g, z0, z1);
-            #[cfg(not(loom))]
             prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
             shared.done.fetch_add(1, Ordering::Release);
         }
         // Fork-join barrier: spin briefly (slabs are usually comparable in
         // cost), then park on the condvar.
-        #[cfg(not(loom))]
         let t_barrier = prof::begin();
         let mut spins = 0u32;
         while shared.done.load(Ordering::Acquire) < gangs {
@@ -313,7 +294,6 @@ impl GangPool {
                 break;
             }
         }
-        #[cfg(not(loom))]
         prof::end(t_barrier, prof::EventKind::BarrierWait, gangs as u32, 0);
         // Retire the job: wait until every worker that saw this epoch has
         // dropped the pointer, then clear it. A straggler that claimed
@@ -336,10 +316,8 @@ impl GangPool {
         self.inline_launches.fetch_add(1, Ordering::Relaxed);
         for g in 0..gangs {
             let (z0, z1) = slab_bounds(n, gangs, g);
-            #[cfg(not(loom))]
             let t_slab = prof::begin();
             body(g, z0, z1);
-            #[cfg(not(loom))]
             prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
         }
     }
@@ -359,7 +337,8 @@ impl Drop for GangPool {
     }
 }
 
-fn worker_loop(shared: &'static Shared) {
+/// Parked-worker loop of worker `index` (its profiler slot is `index + 1`).
+fn worker_loop(shared: &'static Shared, index: usize) {
     let mut seen_epoch = 0u64;
     loop {
         let desc = {
@@ -372,40 +351,34 @@ fn worker_loop(shared: &'static Shared) {
                     seen_epoch = ctl.epoch;
                     ctl.in_flight += 1;
                     // SAFETY: read under the control mutex while active.
-                    break unsafe { (*shared.job.get()).expect("active launch has a job") };
+                    break unsafe { (*shared.job.get()).clone() }.expect("active launch has a job");
                 }
                 ctl = shared.work_cv.wait(ctl).expect("pool poisoned");
             }
         };
-        // Wake latency: publish stamp (caller clock) → here (worker clock).
-        // The stamp was stored before the epoch bump we just observed under
-        // the control mutex, so it happens-before this read; `Instant` is
-        // monotonic across threads, making the span well-formed.
-        #[cfg(not(loom))]
-        if prof::enabled() {
-            let stamp = shared.publish_ns.load(std::sync::atomic::Ordering::Relaxed);
-            let now = prof::now_ns();
-            if stamp != 0 && stamp <= now {
-                prof::span_ns(prof::EventKind::Wake, seen_epoch as u32, 0, stamp, now);
-            }
-        }
         // SAFETY: the caller blocks until in_flight drains, so the body
         // outlives this claim loop.
         let body: Body<'_> = unsafe { &*desc.body };
-        loop {
-            let g = shared.claim.fetch_add(1, Ordering::Relaxed);
-            if g >= desc.gangs {
-                break;
-            }
-            let (z0, z1) = slab_bounds(desc.n, desc.gangs, g);
-            #[cfg(not(loom))]
-            let t_slab = prof::begin();
-            body(g, z0, z1);
-            #[cfg(not(loom))]
-            prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
-            if shared.done.fetch_add(1, Ordering::Release) + 1 == desc.gangs {
-                let _ctl = shared.ctl.lock().expect("pool poisoned");
-                shared.done_cv.notify_all();
+        {
+            // Record into the launcher's capture (if any) for this job
+            // only, starting with the wake latency since the launcher
+            // published it. The guard leaves the capture before the job
+            // retires, so all its events are in the capture by the time
+            // the launcher returns.
+            let _joined = desc.capture.as_ref().map(|c| c.join(seen_epoch, index));
+            loop {
+                let g = shared.claim.fetch_add(1, Ordering::Relaxed);
+                if g >= desc.gangs {
+                    break;
+                }
+                let (z0, z1) = slab_bounds(desc.n, desc.gangs, g);
+                let t_slab = prof::begin();
+                body(g, z0, z1);
+                prof::end(t_slab, prof::EventKind::Slab, g as u32, (z1 - z0) as u32);
+                if shared.done.fetch_add(1, Ordering::Release) + 1 == desc.gangs {
+                    let _ctl = shared.ctl.lock().expect("pool poisoned");
+                    shared.done_cv.notify_all();
+                }
             }
         }
         {

@@ -13,7 +13,7 @@
 
 use crate::fd::f32c;
 use crate::{Field2, Field3, STENCIL_HALF};
-use exec_host::tiles;
+use exec_host::{tiles, Tiling};
 
 /// Stencil rows a Laplacian point touches along the slow axes.
 const LAP_ROWS: usize = 2 * STENCIL_HALF + 1;
@@ -21,6 +21,11 @@ const LAP_ROWS: usize = 2 * STENCIL_HALF + 1;
 /// 8th-order Laplacian of `u` into `out` (interior points only), grid
 /// spacings `dx`, `dz`.
 pub fn laplacian2(u: &Field2, out: &mut Field2, dx: f32, dz: f32) {
+    laplacian2_tiled(u, out, dx, dz, tiles(u.extent().nx, 2, LAP_ROWS));
+}
+
+/// [`laplacian2`] over an explicit x-tiling.
+fn laplacian2_tiled(u: &Field2, out: &mut Field2, dx: f32, dz: f32, tiling: Tiling) {
     let e = u.extent();
     assert_eq!(e, out.extent());
     assert!(
@@ -32,7 +37,6 @@ pub fn laplacian2(u: &Field2, out: &mut Field2, dx: f32, dz: f32) {
     let oi = out.as_mut_slice();
     let rdx2 = 1.0 / (dx * dx);
     let rdz2 = 1.0 / (dz * dz);
-    let tiling = tiles(e.nx, 2, LAP_ROWS);
     for (x0, x1) in tiling.ranges(0, e.nx) {
         for iz in 0..e.nz {
             for ix in x0..x1 {
@@ -346,13 +350,10 @@ mod tests {
                 u.as_mut_slice()[e.raw_idx(ix, iz)] = v;
             }
         }
-        exec_host::tile::set_tile_override(0);
         let mut whole = Field2::zeros(e);
-        laplacian2(&u, &mut whole, 0.7, 1.3);
-        exec_host::tile::set_tile_override(8);
+        laplacian2_tiled(&u, &mut whole, 0.7, 1.3, Tiling { tile_x: e.nx });
         let mut tiled = Field2::zeros(e);
-        laplacian2(&u, &mut tiled, 0.7, 1.3);
-        exec_host::tile::set_tile_override(0);
+        laplacian2_tiled(&u, &mut tiled, 0.7, 1.3, Tiling { tile_x: 8 });
         assert_eq!(whole.as_slice(), tiled.as_slice());
     }
 

@@ -16,9 +16,8 @@
 //! `independent`-race verdict with an actual witness.
 
 use crate::access::AccessSet;
-use exec_host::{slab_bounds, GangPool};
+use exec_host::GangPool;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Upper bound on the gang count — matches the paper's launch
 /// configurations and keeps slab overhead bounded on small grids.
@@ -96,58 +95,14 @@ pub fn default_gangs() -> usize {
     try_default_gangs().unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Which host engine executes gang launches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// The persistent worker pool (`exec_host::GangPool`) — the default.
-    Pooled,
-    /// Per-launch `std::thread::scope` spawns — the legacy engine, kept so
-    /// benches can measure the pool's win through unchanged drivers.
-    Scoped,
-}
-
-static ENGINE: AtomicU8 = AtomicU8::new(0);
-
-/// Select the gang execution engine process-wide (used by benches; both
-/// engines produce bit-identical results).
-pub fn set_engine(e: Engine) {
-    ENGINE.store(e as u8, Ordering::Relaxed);
-}
-
-/// The currently selected gang execution engine.
-pub fn engine() -> Engine {
-    match ENGINE.load(Ordering::Relaxed) {
-        0 => Engine::Pooled,
-        _ => Engine::Scoped,
-    }
-}
-
-/// Execute one gang launch on the selected engine.
-fn dispatch(n: usize, gangs: usize, body: &(dyn Fn(usize, usize, usize) + Sync)) {
-    match engine() {
-        Engine::Pooled => GangPool::global().run(n, gangs, body),
-        Engine::Scoped => scoped_run(n, gangs, body),
-    }
-}
-
-/// The legacy engine: spawn and join one OS thread per gang, every launch.
-fn scoped_run(n: usize, gangs: usize, body: &(dyn Fn(usize, usize, usize) + Sync)) {
-    std::thread::scope(|s| {
-        for g in 0..gangs {
-            let (z0, z1) = slab_bounds(n, gangs, g);
-            s.spawn(move || body(g, z0, z1));
-        }
-    });
-}
-
 /// Run `body(z0, z1)` over `gangs` contiguous chunks of `[0, n)` in
 /// parallel. The body must only write state owned by its chunk (the
 /// `SyncSlice` discipline of `seismic-grid`).
 ///
 /// Launches go through the persistent [`exec_host::GangPool`] (no threads
 /// are spawned per launch, and the steady state allocates nothing); slab
-/// partitioning is the same pure function of `(n, gangs, g)` on every
-/// engine, so results are bit-identical to the sequential sweep.
+/// partitioning is a pure function of `(n, gangs, g)`, so results are
+/// bit-identical to the sequential sweep.
 pub fn par_slabs<F>(n: usize, gangs: usize, body: F)
 where
     F: Fn(usize, usize) + Sync,
@@ -163,33 +118,7 @@ where
     if gangs == 1 {
         body(0, n);
     } else {
-        dispatch(n, gangs, &|_g, z0, z1| body(z0, z1));
-    }
-    exec_host::prof::end(
-        t_sweep,
-        exec_host::prof::EventKind::Sweep,
-        gangs as u32,
-        n.min(u32::MAX as usize) as u32,
-    );
-}
-
-/// [`par_slabs`] forced onto the legacy per-launch `thread::scope` engine,
-/// regardless of the process-wide [`engine`] selection. Benchmarks use
-/// this as the A/B baseline.
-pub fn par_slabs_scoped<F>(n: usize, gangs: usize, body: F)
-where
-    F: Fn(usize, usize) + Sync,
-{
-    assert!(gangs > 0, "need at least one gang");
-    if n == 0 {
-        return;
-    }
-    let gangs = gangs.min(n);
-    let t_sweep = exec_host::prof::begin();
-    if gangs == 1 {
-        body(0, n);
-    } else {
-        scoped_run(n, gangs, &|_g, z0, z1| body(z0, z1));
+        GangPool::global().run(n, gangs, &|_g, z0, z1| body(z0, z1));
     }
     exec_host::prof::end(
         t_sweep,
@@ -390,7 +319,7 @@ where
         .map(|_| std::sync::Mutex::new(GangLog::new(sanitize)))
         .collect();
     let t_sweep = exec_host::prof::begin();
-    dispatch(n, gangs, &|g, z0, z1| {
+    GangPool::global().run(n, gangs, &|g, z0, z1| {
         let mut log = logs[g].lock().expect("gang log poisoned");
         body(z0, z1, &mut log);
     });
@@ -702,25 +631,27 @@ mod tests {
         assert!((1..=MAX_GANGS).contains(&hw));
     }
 
-    /// The legacy engine and the pooled engine produce identical bits.
+    /// The pooled engine produces the bits of the sequential reference
+    /// loop over the same slab map.
     #[test]
-    #[allow(clippy::type_complexity)]
-    fn scoped_and_pooled_agree() {
-        let n = 97usize;
-        let fill = |slabs: &dyn Fn(usize, usize, &(dyn Fn(usize, usize) + Sync))| {
-            let out: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            slabs(n, 5, &|z0, z1| {
-                for (i, o) in out.iter().enumerate().take(z1).skip(z0) {
-                    o.store(i * 31 + 7, Ordering::Relaxed);
-                }
-            });
-            out.into_iter()
-                .map(|a| a.load(Ordering::Relaxed))
-                .collect::<Vec<_>>()
-        };
-        let pooled = fill(&|n, g, b| par_slabs(n, g, b));
-        let scoped = fill(&|n, g, b| par_slabs_scoped(n, g, b));
-        assert_eq!(pooled, scoped);
+    fn pooled_matches_sequential_slab_loop() {
+        let (n, gangs) = (97usize, 5usize);
+        let value = |i: usize| i * 31 + 7;
+        let pooled: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        par_slabs(n, gangs, |z0, z1| {
+            for (i, o) in pooled.iter().enumerate().take(z1).skip(z0) {
+                o.store(value(i), Ordering::Relaxed);
+            }
+        });
+        let mut sequential = vec![0usize; n];
+        for g in 0..gangs {
+            let (z0, z1) = exec_host::slab_bounds(n, gangs, g);
+            for (i, o) in sequential.iter_mut().enumerate().take(z1).skip(z0) {
+                *o = value(i);
+            }
+        }
+        let pooled: Vec<usize> = pooled.into_iter().map(AtomicUsize::into_inner).collect();
+        assert_eq!(pooled, sequential);
     }
 
     /// An out-of-place stencil replays clean: no element is written by one

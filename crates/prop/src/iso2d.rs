@@ -12,7 +12,7 @@
 //! "PML everywhere" — which is what the GPU mapping model prices.
 
 use crate::IsoPmlVariant;
-use exec_host::tiles_for;
+use exec_host::tiles;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent2, Field2, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel2;
@@ -168,9 +168,8 @@ pub fn step_slab(
     // x-tile × z-row blocking: keeps the vertical stencil neighbors of a
     // tile resident across rows on wide grids. Point updates are
     // independent, so the schedule is bitwise-free (single tile on small
-    // grids — the exact original loop). The tiling carries the SIMD width
-    // certified for this kernel by the vectorization verifier, if any.
-    let tiling = tiles_for("iso_kernel_2d", e.nx, 3, 2 * STENCIL_HALF + 1);
+    // grids — the exact original loop).
+    let tiling = tiles(e.nx, 3, 2 * STENCIL_HALF + 1);
 
     match variant {
         IsoPmlVariant::OriginalIfs => {

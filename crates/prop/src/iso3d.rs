@@ -5,7 +5,7 @@
 //! modeling case specifically.
 
 use crate::IsoPmlVariant;
-use exec_host::tiles_for;
+use exec_host::tiles;
 use seismic_grid::fd::f32c;
 use seismic_grid::{Extent3, Field3, SyncSlice, STENCIL_HALF};
 use seismic_model::IsoModel3;
@@ -103,14 +103,8 @@ pub fn step_slab(
     let [dpx, dpy, dpz] = damp;
     let w = dpx.width();
     // x-tile blocking over the y/z row sweeps (bitwise-free; single tile
-    // on small grids — see the 2D kernel). Carries the certified SIMD
-    // width for the 3D sweep when the verifier has published one.
-    let tiling = tiles_for(
-        "iso_kernel_3d",
-        e.nx,
-        3,
-        (2 * STENCIL_HALF + 1) * (2 * STENCIL_HALF + 1),
-    );
+    // on small grids — see the 2D kernel).
+    let tiling = tiles(e.nx, 3, (2 * STENCIL_HALF + 1) * (2 * STENCIL_HALF + 1));
 
     // Shared per-point bodies; branch structure differs per variant.
     let plain = |c: usize| {

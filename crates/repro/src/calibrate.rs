@@ -28,7 +28,6 @@
 
 use crate::accprof::{case_name, DeviceChoice};
 use acc_obs::wallclock::{self, HostReport};
-use openacc_sim::exec::{engine, set_engine, Engine};
 use rtm_core::case::{OptimizationConfig, SeismicCase, Workload};
 use rtm_core::gpu_time::rtm_time;
 use rtm_core::modeling::Medium2;
@@ -44,12 +43,7 @@ use seismic_model::footprint::Dims;
 use seismic_model::{extent2, extent3, Geometry};
 use seismic_pml::{CpmlAxis, DampProfile};
 use seismic_source::{Acquisition2, Acquisition3, Wavelet};
-use std::sync::Mutex;
 use std::time::Instant;
-
-/// Serializes everything in this crate that toggles the process-global
-/// host profiler (calibration runs, `accprof --host`, their tests).
-pub static PROF_GATE: Mutex<()> = Mutex::new(());
 
 /// Grid spacing shared by every calibration medium.
 const H: f32 = 10.0;
@@ -221,39 +215,29 @@ fn run_once(case: &SeismicCase, w: &Workload, cfg: &OptimizationConfig, gangs: u
     }
 }
 
-/// Run one case for real on the pooled host engine with the wall-clock
-/// profiler on, returning wall time, throughput, and the phase split.
+/// Run one case for real on the pooled host engine under a wall-clock
+/// profiler capture, returning wall time, throughput, and the phase split.
 /// One untimed warm-up spins up the worker pool and faults in the model
 /// fields; the reported run is the fastest of the timed reps (min over
 /// reps filters scheduler noise the same way `bench_host`'s median does).
-///
-/// The caller must hold [`PROF_GATE`]: the profiler enable is
-/// process-global.
 pub fn measure_case(case: &SeismicCase, smoke: bool, gangs: usize) -> Measured {
     let w = calibration_workload(case, smoke);
     let cfg = OptimizationConfig::default();
     let reps = if smoke { 1 } else { 3 };
 
-    // The scoped engine spawns fresh threads per launch and would exhaust
-    // the profiler's worker slots; measured runs are pooled.
-    let prior = engine();
-    set_engine(Engine::Pooled);
     run_once(case, &w, &cfg, gangs); // warm-up, unprofiled
 
-    exec_host::prof::set_enabled(true);
     let mut best: Option<(f64, exec_host::HostProfile)> = None;
     for _ in 0..reps {
-        let _ = exec_host::prof::drain(); // discard anything stale
+        let cap = exec_host::Capture::start();
         let t0 = Instant::now();
         run_once(case, &w, &cfg, gangs);
         let wall = t0.elapsed().as_secs_f64().max(1e-9);
-        let profile = exec_host::prof::drain();
+        let profile = cap.finish();
         if best.as_ref().is_none_or(|(b, _)| wall < *b) {
             best = Some((wall, profile));
         }
     }
-    exec_host::prof::set_enabled(false);
-    set_engine(prior);
 
     let (wall_s, profile) = best.expect("at least one rep");
     let report = wallclock::report(&profile);
@@ -270,26 +254,18 @@ pub fn measure_case(case: &SeismicCase, smoke: bool, gangs: usize) -> Measured {
 /// One smoke-scale profiled host run, returning the raw per-slot event
 /// profile (the `accprof --host` entry point: the caller ingests the
 /// profile into its own [`acc_obs::ObsSession`] so the wall-clock tracks
-/// join the simulated-time trace). Takes [`PROF_GATE`] itself — do not
-/// call while holding it.
+/// join the simulated-time trace).
 pub fn profiled_host_run(
     case: &SeismicCase,
     gangs: usize,
 ) -> (Workload, f64, exec_host::HostProfile) {
-    let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let w = calibration_workload(case, true);
     let cfg = OptimizationConfig::default();
-    let prior = engine();
-    set_engine(Engine::Pooled);
-    exec_host::prof::set_enabled(true);
-    let _ = exec_host::prof::drain();
+    let cap = exec_host::Capture::start();
     let t0 = Instant::now();
     run_once(case, &w, &cfg, gangs);
     let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
-    let profile = exec_host::prof::drain();
-    exec_host::prof::set_enabled(false);
-    set_engine(prior);
-    (w, wall_s, profile)
+    (w, wall_s, cap.finish())
 }
 
 /// Spearman rank correlation between two equal-length series (no-tie
@@ -324,7 +300,6 @@ pub fn spearman_rho(a: &[f64], b: &[f64]) -> f64 {
 /// Run the full calibration: six measured host runs, twelve model
 /// pricings, per-device rank correlations.
 pub fn run_calibration(smoke: bool) -> CalReport {
-    let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = OptimizationConfig::default();
     let devices = [DeviceChoice::M2090, DeviceChoice::K40];
 
@@ -501,7 +476,6 @@ mod tests {
     /// throughput is finite.
     #[test]
     fn measured_smoke_run_has_phase_structure() {
-        let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let case = SeismicCase::all()[0]; // iso2d
         let m = measure_case(&case, true, 2);
         assert!(m.wall_s > 0.0 && m.gp_per_s > 0.0);

@@ -18,7 +18,6 @@ use acc_verify::{LaneCrossCheck, VectorCertificate, VectorLegality};
 use rtm_core::case::{OptimizationConfig, SeismicCase};
 use rtm_core::verify::{
     break_reduction_recurrence, break_vector_distance1, case_programs, misalign_base,
-    publish_certificates,
 };
 
 /// One program's vectorization evidence: the per-loop certificates of the
@@ -67,9 +66,7 @@ impl VectorReport {
 }
 
 /// Certify the 12 cases (6 propagators × {modeling, RTM}) at table scale
-/// under `config`, publishing every certificate into the host engine's
-/// SIMD registry ([`rtm_core::verify::publish_certificates`]) so
-/// `exec_host::tiles_for` picks the proven widths up.
+/// under `config`.
 pub fn certify_all_cases(config: &OptimizationConfig) -> Vec<VectorReport> {
     let ctx = table_context();
     let mut reports = Vec::with_capacity(12);
@@ -77,7 +74,6 @@ pub fn certify_all_cases(config: &OptimizationConfig) -> Vec<VectorReport> {
         let w = table_workload(&case);
         for prog in case_programs(&case, config, ctx.compiler, &w) {
             let certs = certify_program(&prog, &ctx);
-            publish_certificates(&certs);
             let crosschecks = lane_crosscheck_program(&prog);
             reports.push(VectorReport {
                 program: prog.name,
@@ -327,19 +323,6 @@ mod tests {
             assert!(m.caught(), "mutation escaped: {m:?}");
         }
         assert!(vector_gate(&reports, &mutations));
-    }
-
-    #[test]
-    fn certificates_reach_the_host_registry() {
-        let reports = certify_all_cases(&OptimizationConfig::default());
-        let legal = reports
-            .iter()
-            .flat_map(|r| &r.certs)
-            .find(|c| c.certified_legal())
-            .expect("a certified loop");
-        let width = exec_host::simd::certified_width(&legal.kernel);
-        assert!(width >= 2, "{}: width {width}", legal.kernel);
-        assert!(exec_host::tiles_for(&legal.kernel, 1 << 16, 3, 9).vector_width >= 2);
     }
 
     #[test]

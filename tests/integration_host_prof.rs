@@ -1,22 +1,23 @@
 //! Integration tests for the wall-clock host-engine profiler and the
 //! model-vs-measured calibration layer.
 //!
-//! Three guarantees pinned end-to-end:
+//! Four guarantees pinned end-to-end:
 //!
-//! 1. **Determinism** — turning the profiler on must not change a single
+//! 1. **Determinism** — capturing a profile must not change a single
 //!    bit of the numerics, at any gang count, 2D or 3D.
-//! 2. **Two clock domains, one timeline** — `accprof --host` merges real
+//! 2. **Isolation** — a capture holds exactly the events of its own run,
+//!    even while other runs, captured or not, share the gang pool.
+//! 3. **Two clock domains, one timeline** — `accprof --host` merges real
 //!    wall-clock worker tracks into the same Chrome trace as the
 //!    simulated-time tracks, and the merged trace still validates.
-//! 3. **Calibration** — the smoke-scale calibration covers all 12
+//! 4. **Calibration** — the smoke-scale calibration covers all 12
 //!    (case × device) rows with ratios and per-device rank correlations.
-//!
-//! The profiler enable is process-global; every test that toggles it
-//! holds [`repro::calibrate::PROF_GATE`].
 
+use exec_host::prof::EventKind;
+use exec_host::{Capture, GangPool, HostProfile};
 use repro::accprof::{parse_case, profile, DeviceChoice, ProfileRequest, RunMode};
-use repro::calibrate::{run_calibration, PROF_GATE};
-use rtm_core::modeling::Medium2;
+use repro::calibrate::run_calibration;
+use rtm_core::modeling::{run_modeling, Medium2};
 use rtm_core::modeling3::Medium3;
 use rtm_core::rtm::run_rtm;
 use rtm_core::rtm3::run_rtm3;
@@ -54,21 +55,17 @@ fn ac3d_medium(n: usize) -> Medium3 {
 /// across gang counts.
 #[test]
 fn profiler_does_not_change_2d_numerics() {
-    let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let n = 48;
     let medium = iso2d_medium(n);
     let acq = Acquisition2::surface_line(n, n / 2, 2, 1, 4);
     let w = Wavelet::ricker(18.0);
     let cfg = OptimizationConfig::default();
     for gangs in [1usize, 2, 4] {
-        exec_host::prof::set_enabled(false);
         let off = run_rtm(&medium, &acq, &w, &cfg, 40, 4, gangs);
 
-        exec_host::prof::set_enabled(true);
-        let _ = exec_host::prof::drain();
+        let cap = Capture::start();
         let on = run_rtm(&medium, &acq, &w, &cfg, 40, 4, gangs);
-        let profile = exec_host::prof::drain();
-        exec_host::prof::set_enabled(false);
+        let profile = cap.finish();
 
         assert_eq!(
             off.image.as_slice(),
@@ -89,21 +86,17 @@ fn profiler_does_not_change_2d_numerics() {
 /// counts.
 #[test]
 fn profiler_does_not_change_3d_numerics() {
-    let _gate = PROF_GATE.lock().unwrap_or_else(|e| e.into_inner());
     let n = 14;
     let medium = ac3d_medium(n);
     let acq = Acquisition3::surface_patch(n, n, (n / 2, n / 2, 2), 1, 4);
     let w = Wavelet::ricker(18.0);
     let cfg = OptimizationConfig::default();
     for gangs in [1usize, 4] {
-        exec_host::prof::set_enabled(false);
         let off = run_rtm3(&medium, &acq, &w, &cfg, 12, 3, gangs);
 
-        exec_host::prof::set_enabled(true);
-        let _ = exec_host::prof::drain();
+        let cap = Capture::start();
         let on = run_rtm3(&medium, &acq, &w, &cfg, 12, 3, gangs);
-        let _ = exec_host::prof::drain();
-        exec_host::prof::set_enabled(false);
+        drop(cap);
 
         assert_eq!(
             off.image.as_slice(),
@@ -111,6 +104,68 @@ fn profiler_does_not_change_3d_numerics() {
             "gangs={gangs}: 3D image must be bitwise identical"
         );
         assert_eq!(off.seismogram, on.seismogram, "gangs={gangs}");
+    }
+}
+
+/// Events of one kind in a profile.
+fn count(p: &HostProfile, kind: EventKind) -> usize {
+    p.slots
+        .iter()
+        .flat_map(|s| &s.events)
+        .filter(|e| e.kind == kind)
+        .count()
+}
+
+/// Two captured runs and one uncaptured run of the same modeling call,
+/// at the same time, through the shared global pool: each capture holds
+/// exactly the launches, slabs and tile batches of its own run — the
+/// counts a capture of the same call records when it runs alone.
+#[test]
+fn concurrent_captures_stay_isolated() {
+    let n = 48;
+    let medium = iso2d_medium(n);
+    let acq = Acquisition2::surface_line(n, n / 2, 2, 1, 4);
+    let w = Wavelet::ricker(18.0);
+    let cfg = OptimizationConfig::default();
+    let gangs = 2;
+    let run = || run_modeling(&medium, &acq, &w, &cfg, 30, 5, gangs).seismogram;
+
+    let cap = Capture::start();
+    let alone_seismogram = run();
+    let alone = cap.finish();
+    let launches = count(&alone, EventKind::Sweep);
+    assert!(launches > 0);
+    assert_eq!(count(&alone, EventKind::Slab), gangs * launches);
+
+    let start = std::sync::Barrier::new(3);
+    let (a, b, c) = std::thread::scope(|s| {
+        let captured = || {
+            start.wait();
+            let cap = Capture::start();
+            let seismogram = run();
+            (seismogram, Some(cap.finish()))
+        };
+        let a = s.spawn(captured);
+        let b = s.spawn(captured);
+        let c = s.spawn(|| {
+            start.wait();
+            (run(), None)
+        });
+        (a.join().unwrap(), b.join().unwrap(), c.join().unwrap())
+    });
+    for (seismogram, _) in [&a, &b, &c] {
+        assert_eq!(*seismogram, alone_seismogram);
+    }
+    for p in [a.1.as_ref(), b.1.as_ref()].map(Option::unwrap) {
+        assert_eq!(count(p, EventKind::Sweep), launches, "own launches only");
+        assert_eq!(count(p, EventKind::Slab), gangs * launches);
+        assert_eq!(
+            count(p, EventKind::TileBatch),
+            count(&alone, EventKind::TileBatch)
+        );
+        assert_eq!(count(p, EventKind::Phase), count(&alone, EventKind::Phase));
+        assert_eq!((p.dropped, p.thread_overflow), (0, 0));
+        assert!(p.slots.len() <= GangPool::global().worker_count() + 1);
     }
 }
 
